@@ -1,7 +1,7 @@
 # Tier-1 verification plus the parallel-engine smoke test. `make ci` is
 # what .github/workflows/ci.yml runs; keep the two in sync.
 
-.PHONY: all build test differential bench-smoke scenario-smoke e10-smoke e13-smoke e14-smoke e15-smoke e16-smoke e17-smoke trace-sample validate baselines deep-check ci clean
+.PHONY: all build test differential bench-smoke scenario-smoke metrics-smoke e10-smoke e13-smoke e14-smoke e15-smoke e16-smoke e17-smoke trace-sample validate baselines deep-check ci clean
 
 all: build
 
@@ -39,6 +39,7 @@ bench-smoke: build
 	$(MAKE) e16-smoke
 	$(MAKE) e17-smoke
 	$(MAKE) scenario-smoke
+	$(MAKE) metrics-smoke
 
 # The Scenario-builder gate (DESIGN.md §5.16): a quick storm over every
 # registered scenario, then one forced-violation search — the known T1
@@ -59,6 +60,20 @@ scenario-smoke: build
 	  -n 2 -d 2 -c 1 --expect-violation --out scenario_t1_csr.json
 	dune exec bench/validate.exe -- scenario_rme.json scenario_mutex.json \
 	  scenario_barrier.json scenario_barrier_sub.json scenario_t1_csr.json
+
+# The --metrics documents of the three run commands at tiny sizes —
+# simulated (rme-metrics/1), native (rme-native-metrics/1) and the lock
+# service with its crash drill (rme-service-metrics/1) — each checked
+# against its schema's shape.
+metrics-smoke: build
+	dune exec bin/rme_cli.exe -- run -s t3-mcs -n 3 -p 5 --crash-mean 300 \
+	  --metrics metrics_run.json
+	dune exec bin/rme_cli.exe -- native --stack t3-mcs -n 2 -p 200 \
+	  --metrics metrics_native.json
+	dune exec bin/rme_cli.exe -- service -n 2 --keys 1000 --shards 16 \
+	  --per-worker 2000 --drill-after 0.005 --metrics metrics_service.json
+	dune exec bench/validate.exe -- metrics_run.json metrics_native.json \
+	  metrics_service.json
 
 # Refresh the committed expectations after a deliberate behaviour change.
 # E14's captured cells are deterministic by design (the machine numbers
@@ -205,5 +220,6 @@ ci: build test differential e13-smoke bench-smoke e10-smoke trace-sample
 
 clean:
 	dune clean
-	rm -f BENCH_E*.json trace_sample.json scenario_*.json swarm_smoke.json
+	rm -f BENCH_E*.json trace_sample.json scenario_*.json swarm_smoke.json \
+	  metrics_*.json
 	rm -rf deep-check

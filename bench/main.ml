@@ -14,43 +14,17 @@ let usage () =
     (String.concat ", " (List.map fst Experiments.all));
   exit 2
 
-(* One "rme-bench/1" document per experiment: every table exactly as
-   printed (same strings, so the JSON is as byte-stable as the tables),
-   plus the named metrics — Stats histograms etc. — recorded while the
-   experiment ran. Report.validate_bench checks this shape; the
-   [validate.exe] companion runs it over the emitted files. *)
-let write_json ~name ~jobs ~elapsed (tables : Harness.Report.captured list)
-    metrics =
+(* One "rme-bench/1" document per experiment (Report.bench_doc), checked
+   against Report.bench_shape before it is written; the [validate.exe]
+   companion runs the same check over the emitted files. *)
+let write_json ~name ~jobs ~elapsed =
   let file = Printf.sprintf "BENCH_%s.json" (String.uppercase_ascii name) in
-  let open Sim.Json in
-  let table (t : Harness.Report.captured) =
-    Obj
-      [
-        ("title", Str t.Harness.Report.title);
-        ("header", List (List.map (fun h -> Str h) t.Harness.Report.header));
-        ( "rows",
-          List
-            (List.map
-               (fun row -> List (List.map (fun c -> Str c) row))
-               t.Harness.Report.rows) );
-      ]
-  in
-  let doc =
-    Obj
-      [
-        ("schema", Str Harness.Report.bench_schema);
-        ("experiment", Str name);
-        ("jobs", Int jobs);
-        ("wall_clock_s", Float (Float.round (elapsed *. 1000.) /. 1000.));
-        ("tables", List (List.map table tables));
-        ("metrics", Obj metrics);
-      ]
-  in
-  (match Harness.Report.validate_bench doc with
+  let doc = Harness.Report.bench_doc ~experiment:name ~jobs ~elapsed in
+  (match Sim.Json.check Harness.Report.bench_shape doc with
   | Ok () -> ()
   | Error e -> failwith (Printf.sprintf "%s: invalid bench JSON: %s" file e));
   let oc = open_out file in
-  output_string oc (to_string ~pretty:true doc);
+  output_string oc (Sim.Json.to_string ~pretty:true doc);
   output_char oc '\n';
   close_out oc
 
@@ -98,10 +72,7 @@ let () =
             run ~pool;
             let elapsed = Unix.gettimeofday () -. t0 in
             Printf.printf "[%s finished in %.1fs]\n%!" name elapsed;
-            if !emit_json then
-              write_json ~name ~jobs:!jobs ~elapsed
-                (Harness.Report.captured ())
-                (Harness.Report.captured_metrics ())
+            if !emit_json then write_json ~name ~jobs:!jobs ~elapsed
           | None ->
             Printf.eprintf "unknown experiment %S (known: %s)\n%!" name
               (String.concat ", " (List.map fst Experiments.all));

@@ -4,20 +4,25 @@
      validate.exe [FILE ...]
      validate.exe --baseline DIR [--tolerance F] [FILE ...]
 
-   Without [--baseline] it parses each file and checks it against its
-   declared schema — "rme-bench/1" (Report.validate_bench),
-   "rme-native-metrics/1" (Rme_native.Workers.validate_metrics, the
-   files [native --metrics] / [run --metrics] write),
-   "rme-service-metrics/1" (Rme_service.Loadgen.validate_metrics, the
-   files [service --metrics] writes) or
-   "rme-mc-outcome/1" (Report.validate_mc_outcome, the files
-   [model-check --out] / [scenario run --out] write); dispatch is on
-   the document's "schema" member, and a missing or unknown schema is a
-   FAIL, not a silent fallback. With no FILE arguments it globs
-   BENCH_E*.json in the current directory.
+   Without [--baseline] it parses each file and checks it against the
+   shape of its declared schema, looked up by the document's "schema"
+   member:
 
-   With [--baseline DIR] it additionally compares each (valid) fresh file
-   against DIR/<basename> — the committed expectation, see
+   - "rme-bench/1" (Report.bench_shape): the BENCH_E<k>.json files the
+     experiment harness writes;
+   - "rme-metrics/1" (Driver.metrics_shape): [run --metrics];
+   - "rme-native-metrics/1" (Rme_native.Workers.metrics_shape):
+     [native --metrics];
+   - "rme-service-metrics/1" (Rme_service.Loadgen.metrics_shape):
+     [service --metrics];
+   - "rme-mc-outcome/1" (Mc_outcome.shape): [model-check --out] and
+     [scenario run --out].
+
+   A missing or unknown schema is a FAIL, not a silent fallback. With no
+   FILE arguments it globs BENCH_E*.json in the current directory.
+
+   With [--baseline DIR] it additionally compares each (valid) fresh
+   bench file against DIR/<basename> — the committed expectation, see
    bench/baselines/ — table by table:
 
    - table count, titles and headers must match exactly (schema drift);
@@ -34,8 +39,10 @@
    Files with no committed baseline are reported and skipped — committing
    a baseline is how an experiment opts into the gate. [jobs],
    [wall_clock_s] and [metrics] are never compared (machine-dependent).
-   Exit 0 iff every file is schema-valid and every gated comparison
-   passes; CI's bench-smoke keys on this. *)
+   The other schemas are checked for shape only: metrics are
+   machine-dependent throughout, and mc outcomes are gated by their
+   producing command's exit code. Exit 0 iff every file is schema-valid
+   and every gated comparison passes; CI's bench-smoke keys on this. *)
 
 let bench_files () =
   Sys.readdir "."
@@ -52,50 +59,37 @@ let read_file file =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Which validator a document wants, by its "schema" member. An unknown
-   or missing schema is an error: silently treating it as a bench table
-   (the historical behaviour) turned typos into confusing "missing
-   experiment" failures, and new artifact kinds skipped validation
-   entirely. Only bench tables enter the baseline diff; native metrics
-   are machine-dependent throughout, and mc outcomes are gated by their
-   producing command's exit code instead. *)
-let kind_of doc =
-  match Sim.Json.member "schema" doc with
-  | Some (Sim.Json.Str s) when s = Harness.Report.bench_schema -> Ok `Bench
-  | Some (Sim.Json.Str "rme-native-metrics/1") -> Ok `Native
-  | Some (Sim.Json.Str s) when s = Rme_service.Loadgen.schema -> Ok `Service
-  | Some (Sim.Json.Str s) when s = Harness.Report.mc_outcome_schema ->
-    Ok `Mc_outcome
-  | Some (Sim.Json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
-  | Some _ -> Error "schema: expected a string"
-  | None -> Error "missing schema member"
+let shapes =
+  [
+    (Harness.Report.bench_schema, Harness.Report.bench_shape);
+    (Harness.Driver.metrics_schema, Harness.Driver.metrics_shape);
+    (Rme_native.Workers.metrics_schema, Rme_native.Workers.metrics_shape);
+    (Rme_service.Loadgen.schema, Rme_service.Loadgen.metrics_shape);
+    (Harness.Mc_outcome.schema, Harness.Mc_outcome.shape);
+  ]
 
+(* [Some (schema, doc)] for a document that has the shape its schema
+   declares; otherwise the reason is printed and the result is [None]. *)
 let parse_doc file =
-  match Sim.Json.parse (read_file file) with
-  | exception Sys_error e ->
+  let checked =
+    match Sim.Json.parse (read_file file) with
+    | exception Sys_error e -> Error e
+    | exception Sim.Json.Parse_error e -> Error ("not valid JSON: " ^ e)
+    | doc -> (
+      match Sim.Json.member "schema" doc with
+      | Some (Sim.Json.Str s) -> (
+        match List.assoc_opt s shapes with
+        | None -> Error (Printf.sprintf "unknown schema %S" s)
+        | Some shape ->
+          Result.map (fun () -> (s, doc)) (Sim.Json.check shape doc))
+      | Some _ -> Error "schema: expected a string"
+      | None -> Error "missing schema member")
+  in
+  match checked with
+  | Ok sd -> Some sd
+  | Error e ->
     Printf.printf "%s: FAIL (%s)\n" file e;
     None
-  | exception Sim.Json.Parse_error e ->
-    Printf.printf "%s: FAIL (not valid JSON: %s)\n" file e;
-    None
-  | doc -> (
-    match kind_of doc with
-    | Error e ->
-      Printf.printf "%s: FAIL (%s)\n" file e;
-      None
-    | Ok kind -> (
-      let validate =
-        match kind with
-        | `Native -> Rme_native.Workers.validate_metrics
-        | `Service -> Rme_service.Loadgen.validate_metrics
-        | `Bench -> Harness.Report.validate_bench
-        | `Mc_outcome -> Harness.Report.validate_mc_outcome
-      in
-      match validate doc with
-      | Ok () -> Some doc
-      | Error e ->
-        Printf.printf "%s: FAIL (%s)\n" file e;
-        None))
 
 (* --- baseline comparison --- *)
 
@@ -204,6 +198,11 @@ let () =
   let files = ref [] in
   let rec parse = function
     | [] -> ()
+    | [ (("--baseline" | "--tolerance") as flag) ]
+    | (("--baseline" | "--tolerance") as flag)
+      :: ("--baseline" | "--tolerance") :: _ ->
+      Printf.eprintf "validate: %s expects a value\n" flag;
+      exit 2
     | "--baseline" :: dir :: rest ->
       baseline := Some dir;
       parse rest
@@ -229,21 +228,10 @@ let () =
   let check file =
     match parse_doc file with
     | None -> false
-    | Some doc when kind_of doc = Ok `Native ->
-      (* Native metrics carry no machine-independent cells to gate. *)
-      Printf.printf "%s: ok (rme-native-metrics/1, schema only)\n" file;
+    | Some (schema, _) when schema <> Harness.Report.bench_schema ->
+      Printf.printf "%s: ok (%s, schema only)\n" file schema;
       true
-    | Some doc when kind_of doc = Ok `Service ->
-      (* Service metrics are machine-dependent throughout; the E15
-         deterministic cells live in its captured bench tables. *)
-      Printf.printf "%s: ok (rme-service-metrics/1, schema only)\n" file;
-      true
-    | Some doc when kind_of doc = Ok `Mc_outcome ->
-      (* Outcome verdicts are gated by the producing command's exit
-         code; here only the document shape is checked. *)
-      Printf.printf "%s: ok (rme-mc-outcome/1, schema only)\n" file;
-      true
-    | Some doc -> (
+    | Some (_, doc) -> (
       match !baseline with
       | None ->
         Printf.printf "%s: ok\n" file;
@@ -258,7 +246,11 @@ let () =
         else
           match parse_doc bfile with
           | None -> false
-          | Some base -> compare_tables ~file ~tolerance:!tolerance doc base)
+          | Some (schema, base) when schema = Harness.Report.bench_schema ->
+            compare_tables ~file ~tolerance:!tolerance doc base
+          | Some (schema, _) ->
+            Printf.printf "%s: FAIL (baseline %s is %s)\n" file bfile schema;
+            false)
   in
   let ok = List.fold_left (fun acc f -> check f && acc) true files in
   if not ok then exit 1

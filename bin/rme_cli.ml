@@ -133,11 +133,9 @@ let metrics_arg =
 
 let spin_policy =
   Arg.enum
-    [
-      ("backoff", Rme_native.Backoff.Exponential);
-      ("relax", Rme_native.Backoff.Relax);
-      ("spin", Rme_native.Backoff.Spin);
-    ]
+    (List.map
+       (fun m -> (Rme_native.Backoff.mode_name m, m))
+       Rme_native.Backoff.modes)
 
 let write_file file contents =
   let oc = open_out_bin file in
@@ -277,34 +275,6 @@ let pp_minimized n (m : Harness.Shrink.result) =
   List.iter
     (fun v -> Printf.printf "  reproduces: %s\n" v)
     m.Harness.Shrink.s_violations
-
-let minimized_json (m : Harness.Shrink.result option) ~n =
-  let open Sim.Json in
-  match m with
-  | None -> Null
-  | Some m ->
-    Obj
-      [
-        ( "trace",
-          List (Array.to_list (Array.map (fun d -> Int d) m.Harness.Shrink.s_trace))
-        );
-        ( "interventions",
-          List
-            (List.map
-               (fun (pos, d) ->
-                 Obj
-                   [
-                     ("pos", Int pos);
-                     ("decision", Int d);
-                     ( "meaning",
-                       Str (Harness.Model_check.describe_decision ~n d) );
-                   ])
-               m.Harness.Shrink.s_interventions) );
-        ( "violations",
-          List (List.map (fun v -> Str v) m.Harness.Shrink.s_violations) );
-        ("steps", Int m.Harness.Shrink.s_steps);
-        ("probes", Int m.Harness.Shrink.s_probes);
-      ]
 
 let model_check_cmd =
   let scenario =
@@ -464,33 +434,6 @@ let model_check_cmd =
           sp_crash_bound = cbound;
         }
     in
-    let outcome_json (o : Harness.Model_check.outcome) =
-      let open Sim.Json in
-      Obj
-        ([
-           ("runs", Int o.runs);
-           ("steps", Int o.steps);
-           ("step_cap_hits", Int o.step_cap_hits);
-           ("deadlocks", Int o.deadlocks);
-           ("truncated", Bool o.truncated);
-           ("distinct_states", Int o.distinct_states);
-           ("pruned_runs", Int o.pruned_runs);
-           ("pruned_branches", Int o.pruned_branches);
-           ("sleep_pruned", Int o.sleep_pruned);
-         ]
-        @ (match (o.bitstate_occupancy, o.collision_bound) with
-          | Some occ, Some b ->
-            [ ("bitstate_occupancy", Float occ); ("collision_bound", Float b) ]
-          | _ -> [])
-        @ [
-            ("violations", List (List.map (fun v -> Str v) o.violations));
-            ( "witness",
-              match o.witness with
-              | None -> Null
-              | Some w -> List (Array.to_list (Array.map (fun d -> Int d) w))
-            );
-          ])
-    in
     (* Swarm: S diversified partial searches — member i cycles through
        {base; d+1; c+1; co+1} bounds and salts its own bitstate, so
        members miss different states. Each member searches sequentially
@@ -520,7 +463,7 @@ let model_check_cmd =
             ~crash_bound:cbound ~crash_one_bound:cobound ~max_runs ~reduction
             ~vset_mode ~stop_on_first ~jobs sc
         in
-        (o, None)
+        (o, [])
       end
       else begin
         let explore_member (i, d, c, co) =
@@ -609,18 +552,11 @@ let model_check_cmd =
         let members_json =
           List.map2
             (fun (i, d, c, co) o ->
-              Sim.Json.Obj
-                [
-                  ("member", Sim.Json.Int i);
-                  ("divergence_bound", Sim.Json.Int d);
-                  ("crash_bound", Sim.Json.Int c);
-                  ("crash_one_bound", Sim.Json.Int co);
-                  ("salt", Sim.Json.Int (i + 1));
-                  ("outcome", outcome_json o);
-                ])
+              Harness.Mc_outcome.swarm_member ~member:i ~divergence_bound:d
+                ~crash_bound:c ~crash_one_bound:co ~salt:(i + 1) o)
             swarm_members outs
         in
-        (merged, Some (Sim.Json.List members_json))
+        (merged, members_json)
       end
     in
     Format.printf "%a@." Harness.Model_check.pp_outcome o;
@@ -635,40 +571,30 @@ let model_check_cmd =
     Option.iter
       (fun file ->
         let open Sim.Json in
+        let config =
+          [
+            ("scenario", Str scenario);
+            ("stack", Str stack);
+            ("model", Str (Format.asprintf "%a" Sim.Memory.pp_model model));
+            ("n", Int n);
+            ("divergence_bound", Int dbound);
+            ("crash_bound", Int cbound);
+            ("crash_one_bound", Int cobound);
+            ("passages", Int passages);
+            ("max_runs", Int max_runs);
+            ("reduce", Str (Harness.Model_check.reduction_to_string reduction));
+            ( "vset",
+              Str
+                (if swarm > 0 || vset = `Bitstate then "bitstate" else "exact")
+            );
+            ("vset_bits", Int vset_bits);
+            ("swarm", Int swarm);
+            ("check_csr", Bool (not no_csr));
+          ]
+        in
         let doc =
-          Obj
-            ([
-               ("schema", Str Harness.Report.mc_outcome_schema);
-               ( "config",
-                 Obj
-                   [
-                     ("scenario", Str scenario);
-                     ("stack", Str stack);
-                     ( "model",
-                       Str (Format.asprintf "%a" Sim.Memory.pp_model model) );
-                     ("n", Int n);
-                     ("divergence_bound", Int dbound);
-                     ("crash_bound", Int cbound);
-                     ("crash_one_bound", Int cobound);
-                     ("passages", Int passages);
-                     ("max_runs", Int max_runs);
-                     ( "reduce",
-                       Str (Harness.Model_check.reduction_to_string reduction)
-                     );
-                     ( "vset",
-                       Str
-                         (if swarm > 0 || vset = `Bitstate then "bitstate"
-                          else "exact") );
-                     ("vset_bits", Int vset_bits);
-                     ("swarm", Int swarm);
-                     ("check_csr", Bool (not no_csr));
-                   ] );
-               ("outcome", outcome_json o);
-             ]
-            @ (match swarm_json with
-              | None -> []
-              | Some members -> [ ("swarm", members) ])
-            @ [ ("minimized_schedule", minimized_json minimized ~n) ])
+          Harness.Mc_outcome.doc ~config ~outcome:o ~swarm:swarm_json
+            ~minimized ~n
         in
         write_file file (to_string ~pretty:true doc ^ "\n"))
       out;
@@ -860,59 +786,42 @@ let scenario_cmd =
       Option.iter
         (fun file ->
           let open Sim.Json in
+          let config =
+            [
+              ("scenario", Str name);
+              ("stack", Str stack);
+              ("model", Str (Format.asprintf "%a" Sim.Memory.pp_model model));
+              ("n", Int n);
+              ("passages", Int passages);
+              ("seed", Int seed);
+              ( "crash_mean",
+                match crash_mean with None -> Null | Some m -> Int m );
+              ("lost_wakeup_mean", Int lost_wakeup_mean);
+              ("delay_mean", Int delay_mean);
+              ("delay_window", Int delay_window);
+              ("max_steps", Int max_steps);
+            ]
+          in
+          (* One storm is one run of a search that does no reduction. *)
+          let outcome : Harness.Model_check.outcome =
+            {
+              runs = 1;
+              steps = rp.rp_steps;
+              violations = rp.rp_violations;
+              step_cap_hits = (if rp.rp_capped then 1 else 0);
+              deadlocks = (if rp.rp_deadlock then 1 else 0);
+              truncated = false;
+              distinct_states = 0;
+              pruned_runs = 0;
+              pruned_branches = 0;
+              sleep_pruned = 0;
+              bitstate_occupancy = None;
+              collision_bound = None;
+              witness = (if violated then Some rp.rp_trace else None);
+            }
+          in
           let doc =
-            Obj
-              [
-                ("schema", Str Harness.Report.mc_outcome_schema);
-                ( "config",
-                  Obj
-                    [
-                      ("scenario", Str name);
-                      ("stack", Str stack);
-                      ( "model",
-                        Str (Format.asprintf "%a" Sim.Memory.pp_model model) );
-                      ("n", Int n);
-                      ("passages", Int passages);
-                      ("seed", Int seed);
-                      ( "crash_mean",
-                        match crash_mean with None -> Null | Some m -> Int m );
-                      ("lost_wakeup_mean", Int lost_wakeup_mean);
-                      ("delay_mean", Int delay_mean);
-                      ("delay_window", Int delay_window);
-                      ("max_steps", Int max_steps);
-                    ] );
-                ( "outcome",
-                  Obj
-                    [
-                      ("runs", Int 1);
-                      ("steps", Int rp.Harness.Model_check.rp_steps);
-                      ( "step_cap_hits",
-                        Int (if rp.Harness.Model_check.rp_capped then 1 else 0)
-                      );
-                      ( "deadlocks",
-                        Int
-                          (if rp.Harness.Model_check.rp_deadlock then 1 else 0)
-                      );
-                      ("truncated", Bool false);
-                      ("distinct_states", Int 0);
-                      ("pruned_runs", Int 0);
-                      ("pruned_branches", Int 0);
-                      ( "violations",
-                        List
-                          (List.map
-                             (fun v -> Str v)
-                             rp.Harness.Model_check.rp_violations) );
-                      ( "witness",
-                        if violated then
-                          List
-                            (Array.to_list
-                               (Array.map
-                                  (fun d -> Int d)
-                                  rp.Harness.Model_check.rp_trace))
-                        else Null );
-                    ] );
-                ("minimized_schedule", minimized_json minimized ~n);
-              ]
+            Harness.Mc_outcome.doc ~config ~outcome ~swarm:[] ~minimized ~n
           in
           write_file file (to_string ~pretty:true doc ^ "\n"))
         out;

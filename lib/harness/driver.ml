@@ -200,24 +200,26 @@ let pp_report ppf r =
 (* Machine-readable report: every scalar the report tracks plus the full
    histogram of every Stats accumulator. Purely derived from the report,
    so same-seed runs serialize byte-identically. *)
+let metrics_schema = "rme-metrics/1"
+
+let histograms =
+  [
+    ("steady_rmrs", fun r -> r.steady_rmrs);
+    ("recovery_rmrs", fun r -> r.recovery_rmrs);
+    ("leader_recovery_rmrs", fun r -> r.leader_recovery_rmrs);
+    ("follower_recovery_rmrs", fun r -> r.follower_recovery_rmrs);
+    ("steady_recover_section_rmrs", fun r -> r.steady_recover_section_rmrs);
+    ("recovery_recover_section_rmrs", fun r -> r.recovery_recover_section_rmrs);
+    ("exit_steps", fun r -> r.exit_steps);
+    ("steady_recover_steps", fun r -> r.steady_recover_steps);
+    ("steady_passage_steps", fun r -> r.steady_passage_steps);
+    ("recovery_passage_steps", fun r -> r.recovery_passage_steps);
+  ]
+
 let metrics r =
-  let histograms =
-    [
-      ("steady_rmrs", r.steady_rmrs);
-      ("recovery_rmrs", r.recovery_rmrs);
-      ("leader_recovery_rmrs", r.leader_recovery_rmrs);
-      ("follower_recovery_rmrs", r.follower_recovery_rmrs);
-      ("steady_recover_section_rmrs", r.steady_recover_section_rmrs);
-      ("recovery_recover_section_rmrs", r.recovery_recover_section_rmrs);
-      ("exit_steps", r.exit_steps);
-      ("steady_recover_steps", r.steady_recover_steps);
-      ("steady_passage_steps", r.steady_passage_steps);
-      ("recovery_passage_steps", r.recovery_passage_steps);
-    ]
-  in
   Json.Obj
     [
-      ("schema", Json.Str "rme-metrics/1");
+      ("schema", Json.Str metrics_schema);
       ("lock", Json.Str r.lock_name);
       ("n", Json.Int r.n);
       ("model", Json.Str (Format.asprintf "%a" Memory.pp_model r.model));
@@ -237,8 +239,39 @@ let metrics r =
       ("counter_value", Json.Int r.counter_value);
       ("max_overtaking", Json.Int r.max_overtaking);
       ( "histograms",
-        Json.Obj (List.map (fun (k, s) -> (k, Stats.to_json s)) histograms) );
+        Json.Obj (List.map (fun (k, f) -> (k, Stats.to_json (f r))) histograms)
+      );
     ]
+
+let metrics_shape =
+  Json.(
+    sized ~list:"completed" ~count:"n"
+      (obj
+         ([
+            req "schema" (enum [ metrics_schema ]);
+            req "lock" string;
+            req "n" (int_min 1);
+            req "model"
+              (enum
+                 (List.map
+                    (Format.asprintf "%a" Memory.pp_model)
+                    [ Memory.Cc; Memory.Dsm ]));
+            req "target_passages" (int_min 0);
+            req "all_done" bool;
+            req "completed" (list (int_min 0));
+          ]
+         @ List.map
+             (fun k -> req k (int_min 0))
+             [
+               "total_steps"; "total_rmrs"; "crashes"; "me_violations";
+               "csr_violations"; "csr_reentries"; "cs_completions";
+               "counter_value"; "max_overtaking";
+             ]
+         @ [
+             req "histograms"
+               (obj
+                  (List.map (fun (k, _) -> req k Stats.json_shape) histograms));
+           ])))
 
 let metrics_json r = Json.to_string ~pretty:true (metrics r) ^ "\n"
 

@@ -84,6 +84,14 @@ val metrics : report -> Sim.Json.t
 val metrics_json : report -> string
 (** {!metrics}, pretty-printed, newline-terminated. *)
 
+val metrics_schema : string
+(** ["rme-metrics/1"]. *)
+
+val metrics_shape : Sim.Json.shape
+(** The shape of a {!metrics} document: the scalars (counts
+    non-negative), one [completed] entry per process, and every
+    histogram in {!Sim.Stats.to_json} form. *)
+
 val check_clean : report -> (unit, string) result
 (** [Ok ()] iff the run finished with no property violations and no lost
     updates; [Error what] describes the first discrepancy. For tests. *)

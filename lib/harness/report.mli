@@ -66,26 +66,14 @@ val cell_within_tolerance : tolerance:float -> base:float -> fresh:float -> bool
 val bench_schema : string
 (** Schema identifier stamped into every [BENCH_E<k>.json] ("rme-bench/1"). *)
 
-val validate_bench : Sim.Json.t -> (unit, string) result
-(** Check a parsed [BENCH_E<k>.json] document against {!bench_schema}:
-    required keys, table shape (string cells), and a metrics object. *)
+val bench_doc : experiment:string -> jobs:int -> elapsed:float -> Sim.Json.t
+(** The {!bench_schema} document for the current experiment: every table
+    and metric captured since the last {!reset_captured}, plus the run's
+    parameters and wall-clock time (rounded to milliseconds). *)
 
-val mc_outcome_schema : string
-(** Schema identifier stamped into every [model-check --out] /
-    [scenario run --out] JSON ("rme-mc-outcome/1"). *)
-
-val validate_mc_outcome : Sim.Json.t -> (unit, string) result
-(** Check a parsed model-check outcome document against
-    {!mc_outcome_schema}: config object, integer outcome counters,
-    string violations, an optional integer [witness] array, and a
-    [minimized_schedule] that is either [Null] or carries the minimized
-    decision trace, its [(pos, decision, meaning)] interventions, and
-    the shrinking statistics (DESIGN.md §5.16). The §5.19 additions are
-    optional (older files stay valid): an integer [sleep_pruned],
-    finite-float [bitstate_occupancy]/[collision_bound] (NaN/inf
-    rejected — a non-finite bound means the producer leaked a
-    sentinel), and a top-level [swarm] array whose members each carry
-    their varied bounds, bitstate salt, and a full outcome object. *)
+val bench_shape : Sim.Json.shape
+(** The shape of a {!bench_doc}: required keys, tables of string cells,
+    and a metrics object. *)
 
 val f1 : float -> string
 (** Format a float with one decimal. *)

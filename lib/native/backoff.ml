@@ -36,6 +36,8 @@ let mode_of_name = function
   | "spin" -> Some Spin
   | _ -> None
 
+let modes = [ Exponential; Relax; Spin ]
+
 type t = {
   mode : mode;
   rng : Random.State.t;

@@ -80,16 +80,22 @@ let rec worker_run t ~pid body =
     park t;
     worker_run t ~pid body
 
-let crash t =
+let quiesce t =
   Atomic.set t.flag true;
-  (* Wait until every live worker has stopped taking steps; only then does
+  (* Wait until every live worker has stopped taking steps; only then may
      the epoch advance, which is what makes the failure system-wide. *)
   let b = backoff t in
   Backoff.reset b;
   while Atomic.get t.parked < Atomic.get t.active do
     Backoff.once b
-  done;
+  done
+
+let release t =
   ignore (Atomic.fetch_and_add t.epoch 1);
   Atomic.set t.flag false
+
+let crash t =
+  quiesce t;
+  release t
 
 let worker_done t ~pid:_ = ignore (Atomic.fetch_and_add t.active (-1))

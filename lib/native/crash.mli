@@ -51,8 +51,18 @@ val worker_run : t -> pid:int -> (epoch:int -> unit) -> unit
     Call it from the worker domain's main loop. *)
 
 val crash : t -> unit
-(** Controller side: declare a crash, wait for all unfinished workers to
-    park, advance the epoch, release. Must not be called from a worker. *)
+(** Controller side: {!quiesce} then {!release}. Must not be called from
+    a worker. *)
+
+val quiesce : t -> unit
+(** Controller side, first half of {!crash}: declare a crash and wait
+    until every unfinished worker has parked. Until {!release}, no worker
+    takes a step and the epoch does not move, so the controller may
+    snapshot shared state exactly as the crash left it. *)
+
+val release : t -> unit
+(** Controller side, second half of {!crash}: advance the epoch and let
+    the parked workers re-enter. Call only after {!quiesce}. *)
 
 val worker_done : t -> pid:int -> unit
 (** Mark a worker as finished so {!crash} stops waiting for it. *)

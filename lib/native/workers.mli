@@ -98,10 +98,12 @@ val metrics : result -> Sim.Json.t
 val metrics_json : result -> string
 (** {!metrics}, pretty-printed, newline-terminated. *)
 
-val validate_metrics : Sim.Json.t -> (unit, string) Stdlib.result
-(** Shape-check a parsed [rme-native-metrics/1] document — the native
-    analogue of [Report.validate_bench]; [bench/validate.exe] dispatches
-    here on the [schema] member. *)
+val metrics_schema : string
+(** ["rme-native-metrics/1"]. *)
+
+val metrics_shape : Sim.Json.shape
+(** The shape of a {!metrics} document; [bench/validate.exe] looks it
+    up by the [schema] member. *)
 
 val check_clean : result -> (unit, string) Stdlib.result
 (** [Ok ()] iff all workers finished with no ME violations and no lost

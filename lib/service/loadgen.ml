@@ -46,7 +46,7 @@ module Pin = Rme_native.Pin
 
 type drill_report = {
   d_epoch : int;  (** epoch after the bump *)
-  d_hot : int;  (** materialized, not-yet-drained shards right after it *)
+  d_hot : int;  (** materialized shards, counted with every worker parked *)
   d_drained : int;  (** how many of those drained before the timeout *)
   d_drain_s : float;  (** crash declaration -> last hot shard served *)
   d_sweeps : int;  (** recovery passages performed by worker sweeps *)
@@ -230,10 +230,14 @@ let run ?(stack = "t3-mcs") ?model ?(padded = true) ?(shards = 1024)
   | Some s ->
     Unix.sleepf s;
     let tc = Clock.now_ns () in
-    Crash.crash crash;
-    incr crashes;
-    let e = Crash.epoch crash in
+    (* Count the hot shards while every worker is parked: once released,
+       their recovery sweeps start draining shards before a later
+       snapshot could see them. *)
+    Crash.quiesce crash;
+    let e = Crash.epoch crash + 1 in
     let hot = Table.undrained table ~epoch:e in
+    Crash.release crash;
+    incr crashes;
     let timeout = tc + int_of_float (drill_timeout *. 1e9) in
     let rec wait () =
       let u = Table.undrained table ~epoch:e in
@@ -445,109 +449,54 @@ let metrics r =
 
 let metrics_json r = Sim.Json.to_string ~pretty:true (metrics r) ^ "\n"
 
-(* Shape-check a parsed rme-service-metrics/1 document — the service
-   analogue of [Workers.validate_metrics], dispatched to by
-   bench/validate.exe on files produced by [service --metrics]. *)
-let validate_metrics doc =
+let metrics_shape =
   let open Sim.Json in
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let rec all = function
-    | [] -> Ok ()
-    | check :: rest -> ( match check () with Ok () -> all rest | e -> e)
-  in
-  let is_num = function Int _ | Float _ -> true | _ -> false in
-  let nonneg = function Int c -> c >= 0 | _ -> false in
-  let stats_shape = function
-    | Obj _ as h ->
-      List.for_all
-        (fun k -> Option.is_some (member k h))
-        [ "count"; "mean"; "min"; "max"; "p50"; "p90"; "p99"; "buckets" ]
-    | _ -> false
-  in
-  let require name pred =
-    fun () ->
-    match member name doc with
-    | None -> err "missing member %S" name
-    | Some v ->
-      if pred v then Ok () else err "member %S has the wrong shape" name
-  in
-  let optional name pred =
-    fun () ->
-    match member name doc with
-    | None -> Ok ()
-    | Some v ->
-      if pred v then Ok () else err "member %S has the wrong shape" name
-  in
-  match member "schema" doc with
-  | Some (Str s) when s = schema ->
-    all
-      [
-        require "stack" (function Str _ -> true | _ -> false);
-        require "n" (function Int n -> n >= 1 | _ -> false);
-        require "keys" (function Int k -> k >= 1 | _ -> false);
-        require "shards" (function Int s -> s >= 1 | _ -> false);
-        require "theta" is_num;
-        require "rate_rps" is_num;
-        require "think_ns" nonneg;
-        require "batch" (function Int b -> b >= 1 | _ -> false);
-        require "budget" nonneg;
-        (fun () ->
-          match (member "n" doc, member "served" doc) with
-          | Some (Int n), Some (List per) ->
-            if List.length per <> n then
-              err "served has %d entries for n=%d" (List.length per) n
-            else if List.for_all nonneg per then Ok ()
-            else err "served entries must be non-negative ints"
-          | _ -> err "missing member %S" "served");
-        require "total_served" nonneg;
-        require "served_exactly" (function Bool _ -> true | _ -> false);
-        require "materialized" nonneg;
-        require "crashes" nonneg;
-        require "me_violations" nonneg;
-        require "lost_update_shards" nonneg;
-        require "batches" nonneg;
-        require "max_batch" nonneg;
-        require "elapsed_s" is_num;
-        require "throughput_rps" is_num;
-        require "passages_ps" is_num;
-        require "latency_kind" (function
-          | Str ("arrival" | "admit") -> true
-          | _ -> false);
-        require "latency_ns" stats_shape;
-        require "shard_latency" (function
-          | List ss ->
-            List.for_all
-              (fun s ->
-                (match member "shard" s with Some (Int i) -> i >= 0 | _ -> false)
-                && (match member "served" s with Some v -> nonneg v | None -> false)
-                && match member "latency_ns" s with
-                   | Some h -> stats_shape h
-                   | None -> false)
-              ss
-          | _ -> false);
-        require "traffic_fingerprint" (function Int _ -> true | _ -> false);
-        require "spin" (function
-          | Str s -> Option.is_some (Backoff.mode_of_name s)
-          | _ -> false);
-        require "pinned" nonneg;
-        require "drill" (function
-          | Null -> true
-          | Obj _ as d ->
-            List.for_all
-              (fun (k, pred) ->
-                match member k d with Some v -> pred v | None -> false)
-              [
-                ("epoch", fun v -> nonneg v);
-                ("hot_shards", fun v -> nonneg v);
-                ("drained_shards", fun v -> nonneg v);
-                ("drain_s", is_num);
-                ("sweep_passages", fun v -> nonneg v);
-              ]
-          | _ -> false);
-        optional "alloc_words_per_request" is_num;
-      ]
-  | Some (Str s) -> err "schema is %S, expected %S" s schema
-  | _ -> err "missing member %S" "schema"
+  let nat = int_min 0 in
+  sized ~list:"served" ~count:"n"
+    (obj
+       ([
+          req "schema" (enum [ schema ]);
+          req "stack" string;
+          req "n" (int_min 1);
+          req "keys" (int_min 1);
+          req "shards" (int_min 1);
+          req "batch" (int_min 1);
+          req "served" (list nat);
+          req "served_exactly" bool;
+          req "latency_kind" (enum [ "arrival"; "admit" ]);
+          req "latency_ns" Sim.Stats.json_shape;
+          req "shard_latency"
+            (list
+               (obj
+                  [
+                    req "shard" nat;
+                    req "served" nat;
+                    req "latency_ns" Sim.Stats.json_shape;
+                  ]));
+          req "traffic_fingerprint" int;
+          req "spin" (enum (List.map Backoff.mode_name Backoff.modes));
+          req "drill"
+            (null_or
+               (obj
+                  [
+                    req "epoch" nat;
+                    req "hot_shards" nat;
+                    req "drained_shards" nat;
+                    req "drain_s" number;
+                    req "sweep_passages" nat;
+                  ]));
+          opt "alloc_words_per_request" number;
+        ]
+       @ List.map
+           (fun k -> req k number)
+           [ "theta"; "rate_rps"; "elapsed_s"; "throughput_rps"; "passages_ps" ]
+       @ List.map
+           (fun k -> req k nat)
+           [
+             "think_ns"; "budget"; "total_served"; "materialized"; "crashes";
+             "me_violations"; "lost_update_shards"; "batches"; "max_batch";
+             "pinned";
+           ]))
 
 let pp_result ppf r =
   let total = total_served r in

@@ -8,7 +8,7 @@
 
 type drill_report = {
   d_epoch : int;  (** epoch after the bump *)
-  d_hot : int;  (** materialized, not-yet-drained shards right after it *)
+  d_hot : int;  (** materialized shards, counted with every worker parked *)
   d_drained : int;  (** how many of those drained before the timeout *)
   d_drain_s : float;  (** crash declaration → last hot shard served *)
   d_sweeps : int;  (** recovery passages performed by worker sweeps *)
@@ -97,8 +97,7 @@ val check_clean : result -> (unit, string) Stdlib.result
 val metrics : result -> Sim.Json.t
 val metrics_json : result -> string
 
-val validate_metrics : Sim.Json.t -> (unit, string) Stdlib.result
-(** Shape-check a parsed rme-service-metrics/1 document (the service
-    analogue of [Workers.validate_metrics]). *)
+val metrics_shape : Sim.Json.shape
+(** The shape of a {!metrics} document. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -193,8 +193,8 @@ let sweep t ~pid ~epoch =
   !swept
 
 (* Drill observation: materialized shards whose last completed passage
-   predates [epoch]. The controller snapshots this right after the epoch
-   bump and spins until it reaches zero. *)
+   predates [epoch]. The controller snapshots this while the workers are
+   parked for the crash, then spins until it reaches zero. *)
 let undrained t ~epoch =
   let u = ref 0 in
   for s = 0 to t.shards - 1 do

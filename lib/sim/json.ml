@@ -1,6 +1,6 @@
 (* Minimal JSON values, emission and parsing — just enough for the
-   observability layer (metrics files, trace exports, the bench schema
-   validator) without pulling a JSON dependency into the tree. Emission
+   observability layer (metrics files, trace exports, the schema shape
+   checker) without pulling a JSON dependency into the tree. Emission
    refuses non-finite floats so a stray sentinel can never produce
    invalid JSON; the parser is a strict RFC 8259 subset (no trailing
    commas, no comments) that is only used on artifacts we emit. *)
@@ -272,3 +272,92 @@ let to_float_opt = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
   | _ -> None
+
+(* --- shapes: one declarative checker for every schema we emit --- *)
+
+(* A shape checks the value found at a path ("" for the document root)
+   and names that path in its error. Objects ignore members they do not
+   declare, so a producer may add members without breaking old readers. *)
+type shape = string -> t -> (unit, string) result
+type field = string * bool * shape
+
+let fail path what =
+  Error (Printf.sprintf "%s: %s" (if path = "" then "document" else path) what)
+
+let expect what ok : shape =
+ fun path v -> if ok v then Ok () else fail path ("expected " ^ what)
+
+let rec all = function
+  | [] -> Ok ()
+  | Ok () :: rest -> all rest
+  | e :: _ -> e
+
+let int = expect "an integer" (function Int _ -> true | _ -> false)
+
+let int_min m =
+  expect
+    (Printf.sprintf "an integer >= %d" m)
+    (function Int i -> i >= m | _ -> false)
+
+let number = expect "a number" (function Int _ | Float _ -> true | _ -> false)
+
+let finite =
+  expect "a finite number" (function
+    | Int _ -> true
+    | Float f -> Float.is_finite f
+    | _ -> false)
+
+let string = expect "a string" (function Str _ -> true | _ -> false)
+
+let enum names =
+  expect
+    ("one of " ^ String.concat ", " (List.map (Printf.sprintf "%S") names))
+    (function Str s -> List.mem s names | _ -> false)
+
+let bool = expect "a boolean" (function Bool _ -> true | _ -> false)
+
+let null_or (s : shape) : shape =
+ fun path -> function Null -> Ok () | v -> s path v
+
+let list (s : shape) : shape =
+ fun path -> function
+  | List xs ->
+    all (List.mapi (fun i x -> s (Printf.sprintf "%s[%d]" path i) x) xs)
+  | _ -> fail path "expected an array"
+
+let tuple (ss : shape list) : shape =
+ fun path -> function
+  | List xs when List.length xs = List.length ss ->
+    all
+      (List.mapi
+         (fun i (s, x) -> s (Printf.sprintf "%s[%d]" path i) x)
+         (List.combine ss xs))
+  | _ -> fail path (Printf.sprintf "expected an array of %d" (List.length ss))
+
+let req name s = (name, true, s)
+let opt name s = (name, false, s)
+
+let obj (fields : field list) : shape =
+ fun path v ->
+  match v with
+  | Obj _ ->
+    all
+      (List.map
+         (fun (name, required, s) ->
+           let p = if path = "" then name else path ^ "." ^ name in
+           match member name v with
+           | Some x -> s p x
+           | None -> if required then fail p "missing" else Ok ())
+         fields)
+  | _ -> fail path "expected an object"
+
+let sized ~list ~count (s : shape) : shape =
+ fun path v ->
+  match (s path v, member list v, member count v) with
+  | Ok (), Some (List xs), Some (Int n) when List.length xs <> n ->
+    fail path
+      (Printf.sprintf "%s has %d entries for %s=%d" list (List.length xs)
+         count n)
+  | r, _, _ -> r
+
+let check (s : shape) v = s "" v

@@ -136,6 +136,15 @@ let to_json t =
       ("buckets", Json.List buckets);
     ]
 
+let json_shape =
+  Json.(
+    obj
+      (req "count" (int_min 0)
+       :: List.map
+            (fun k -> req k number)
+            [ "mean"; "min"; "max"; "p50"; "p90"; "p99" ]
+      @ [ req "buckets" (list (tuple [ int_min 0; int_min 0; int_min 1 ])) ]))
+
 let pp ppf t =
   if t.count = 0 then Format.fprintf ppf "n=0"
   else

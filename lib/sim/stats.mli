@@ -44,4 +44,8 @@ val to_json : t -> Json.t
     [[lo, hi, count]] triples (inclusive value ranges). All numbers are
     finite. *)
 
+val json_shape : Json.shape
+(** The shape of a {!to_json} document, for the schemas that embed
+    histograms. *)
+
 val pp : Format.formatter -> t -> unit

@@ -157,6 +157,44 @@ let crash_protocol_epochs () =
   Alcotest.(check (list int)) "worker saw every epoch" [ 3; 2; 1 ]
     !epochs_seen
 
+(* The controller's two crash halves: between [quiesce] and [release]
+   no worker takes a step and the epoch stays put, so a snapshot taken
+   there sees shared state exactly as the crash left it. *)
+let crash_quiesce_holds_workers () =
+  let n = 2 in
+  let crash = Rme_native.Crash.create ~n () in
+  let counter = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let worker pid () =
+    Rme_native.Crash.worker_run crash ~pid (fun ~epoch:_ ->
+        while not (Atomic.get stop) do
+          Rme_native.Crash.check crash;
+          (* A step that outlasts the crash declaration: quiesce must
+             wait for it to finish and park. *)
+          Unix.sleepf 0.001;
+          Atomic.incr counter
+        done);
+    Rme_native.Crash.worker_done crash ~pid
+  in
+  let domains = List.init n (fun i -> Domain.spawn (worker (i + 1))) in
+  while Atomic.get counter = 0 do
+    Domain.cpu_relax ()
+  done;
+  Rme_native.Crash.quiesce crash;
+  let c0 = Atomic.get counter and e0 = Rme_native.Crash.epoch crash in
+  Unix.sleepf 0.01;
+  let c1 = Atomic.get counter and e1 = Rme_native.Crash.epoch crash in
+  Rme_native.Crash.release crash;
+  let e2 = Rme_native.Crash.epoch crash in
+  while Atomic.get counter = c1 do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set stop true;
+  List.iter Domain.join domains;
+  Alcotest.(check int) "counter frozen while quiesced" c0 c1;
+  Alcotest.(check int) "epoch frozen while quiesced" e0 e1;
+  Alcotest.(check int) "release advances the epoch" (e0 + 1) e2
+
 (* --- Barrier, driven directly --- *)
 
 (* The same Fig. 2 transcription the simulator runs, instantiated over the
@@ -340,7 +378,9 @@ let native_instrumentation_smoke () =
   (* Latency histograms, the allocation probe, the start barrier and the
      fixed-duration window, each through the metrics validator. *)
   let check_metrics what r =
-    match Rme_native.Workers.validate_metrics (Rme_native.Workers.metrics r)
+    match
+      Sim.Json.check Rme_native.Workers.metrics_shape
+        (Rme_native.Workers.metrics r)
     with
     | Ok () -> ()
     | Error e -> Alcotest.failf "%s: metrics invalid: %s" what e
@@ -416,7 +456,9 @@ let native_window_outlives_sampler () =
     Alcotest.failf "sampler stalled a 200-passage run for %.2fs" wall;
   List.iter
     (fun r ->
-      match Rme_native.Workers.validate_metrics (Rme_native.Workers.metrics r)
+      match
+        Sim.Json.check Rme_native.Workers.metrics_shape
+          (Rme_native.Workers.metrics r)
       with
       | Ok () -> ()
       | Error e -> Alcotest.failf "sampler-run metrics invalid: %s" e)
@@ -453,7 +495,11 @@ let () =
           case "instrumentation-smoke" native_instrumentation_smoke;
           case "window-outlives-sampler" native_window_outlives_sampler;
         ] );
-      ("crash-protocol", [ case "epochs" crash_protocol_epochs ]);
+      ( "crash-protocol",
+        [
+          case "epochs" crash_protocol_epochs;
+          case "quiesce-holds-workers" crash_quiesce_holds_workers;
+        ] );
       ( "barrier",
         [
           case "cc-path" (barrier_all_pass Sim.Memory.Cc);

@@ -1,7 +1,7 @@
 (* Tests for the observability layer: the hand-rolled JSON codec, the
    trace exporters (JSONL + Chrome trace-event), the driver's metrics
-   document, table rendering with UTF-8 widths, and the bench-JSON
-   validator. The load-bearing property throughout is *passive
+   document, table rendering with UTF-8 widths, and the schema shapes
+   of every JSON artifact. The load-bearing property throughout is *passive
    determinism*: exporters are pure functions of seeded runs, so the same
    seed must produce byte-identical artifacts — including while a busy
    domain pool runs unrelated work, which is what `--jobs` independence
@@ -11,6 +11,7 @@ open Sim
 open Testutil
 module Driver = Harness.Driver
 module Report = Harness.Report
+module Mc_outcome = Harness.Mc_outcome
 module Pool = Parallel.Pool
 
 (* --- Json --- *)
@@ -290,11 +291,11 @@ let minimal_bench ?(schema = Report.bench_schema) () =
     ]
 
 let validator_accepts_and_rejects () =
-  (match Report.validate_bench (minimal_bench ()) with
+  (match Json.check Report.bench_shape (minimal_bench ()) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "valid doc rejected: %s" e);
   let rejects what doc =
-    match Report.validate_bench doc with
+    match Json.check Report.bench_shape doc with
     | Ok () -> Alcotest.failf "validator accepted %s" what
     | Error _ -> ()
   in
@@ -343,7 +344,7 @@ let minimal_outcome_obj ?(extra = []) () =
 let minimal_mc_outcome ?extra ?(top = []) () =
   Json.Obj
     ([
-       ("schema", Json.Str Report.mc_outcome_schema);
+       ("schema", Json.Str Mc_outcome.schema);
        ("config", Json.Obj [ ("scenario", Json.Str "rme") ]);
        ("outcome", minimal_outcome_obj ?extra ());
        ("minimized_schedule", Json.Null);
@@ -352,12 +353,12 @@ let minimal_mc_outcome ?extra ?(top = []) () =
 
 let mc_outcome_validator_accepts_and_rejects () =
   let accepts what doc =
-    match Report.validate_mc_outcome doc with
+    match Json.check Mc_outcome.shape doc with
     | Ok () -> ()
     | Error e -> Alcotest.failf "rejected %s: %s" what e
   in
   let rejects what doc =
-    match Report.validate_mc_outcome doc with
+    match Json.check Mc_outcome.shape doc with
     | Ok () -> Alcotest.failf "accepted %s" what
     | Error _ -> ()
   in
@@ -454,7 +455,7 @@ let mc_outcome_validator_accepts_and_rejects () =
   rejects "missing minimized_schedule"
     (Json.Obj
        [
-         ("schema", Json.Str Report.mc_outcome_schema);
+         ("schema", Json.Str Mc_outcome.schema);
          ("config", Json.Obj []);
          ("outcome", minimal_outcome_obj ());
        ]);
@@ -466,6 +467,203 @@ let mc_outcome_validator_accepts_and_rejects () =
          ("outcome", minimal_outcome_obj ());
          ("minimized_schedule", Json.Null);
        ])
+
+(* --- every schema, table-driven, against its real producer --- *)
+
+(* Every way to break one value of [doc]: each object member deleted
+   (unless its name is in [optional]) or given the wrong type, and each
+   array element given the wrong type — recursively, except below the
+   members named in [free] (config and metrics objects, whose contents
+   no schema constrains). *)
+let rec mutations ~optional ~free doc =
+  let retype = function Json.Str _ -> Json.Int 0 | _ -> Json.Str "x" in
+  let inside path put x =
+    List.map (fun (p, x') -> (path ^ p, put x')) (mutations ~optional ~free x)
+  in
+  match doc with
+  | Json.Obj kvs ->
+    List.concat
+      (List.mapi
+         (fun i (k, x) ->
+           let put x' =
+             Json.Obj
+               (List.mapi (fun j kv -> if j = i then (k, x') else kv) kvs)
+           in
+           let path = "." ^ k in
+           (if List.mem k optional then []
+            else
+              [
+                ( path ^ " deleted",
+                  Json.Obj (List.filteri (fun j _ -> j <> i) kvs) );
+              ])
+           @ [ (path ^ " retyped", put (retype x)) ]
+           @ if List.mem k free then [] else inside path put x)
+         kvs)
+  | Json.List xs ->
+    List.concat
+      (List.mapi
+         (fun i x ->
+           let put x' =
+             Json.List (List.mapi (fun j y -> if j = i then x' else y) xs)
+           in
+           let path = Printf.sprintf "[%d]" i in
+           (path ^ " retyped", put (retype x)) :: inside path put x)
+         xs)
+  | _ -> []
+
+(* Replace the value at a path of member names. *)
+let rec set_at path v doc =
+  match (path, doc) with
+  | [], _ -> v
+  | k :: rest, Json.Obj kvs ->
+    Json.Obj
+      (List.map
+         (fun (k', x) -> if k' = k then (k', set_at rest v x) else (k', x))
+         kvs)
+  | _ -> doc
+
+let mc_outcome_doc () =
+  let outcome : Harness.Model_check.outcome =
+    {
+      runs = 7;
+      steps = 90;
+      violations = [ "CSR violated" ];
+      step_cap_hits = 0;
+      deadlocks = 1;
+      truncated = false;
+      distinct_states = 30;
+      pruned_runs = 2;
+      pruned_branches = 3;
+      sleep_pruned = 4;
+      bitstate_occupancy = Some 0.03;
+      collision_bound = Some 0.0009;
+      witness = Some [| 1; 2; -3 |];
+    }
+  in
+  let minimized : Harness.Shrink.result =
+    {
+      s_trace = [| 1; 2; -3 |];
+      s_interventions = [ (2, -3) ];
+      s_violations = [ "CSR violated" ];
+      s_steps = 3;
+      s_probes = 11;
+    }
+  in
+  Mc_outcome.doc
+    ~config:[ ("scenario", Json.Str "rme"); ("crash_mean", Json.Null) ]
+    ~outcome
+    ~swarm:
+      [
+        Mc_outcome.swarm_member ~member:0 ~divergence_bound:2 ~crash_bound:1
+          ~crash_one_bound:0 ~salt:1 outcome;
+      ]
+    ~minimized:(Some minimized) ~n:2
+
+let bench_doc () =
+  Report.reset_captured ();
+  Report.table ~title:"t" ~header:[ "a"; "b" ] [ [ "1"; "x" ]; [ "2"; "y" ] ];
+  let s = Stats.create () in
+  List.iter (Stats.add_int s) [ 1; 5; 700 ];
+  Report.metric ~name:"m" (Stats.to_json s);
+  let doc = Report.bench_doc ~experiment:"e0" ~jobs:1 ~elapsed:0.25 in
+  Report.reset_captured ();
+  doc
+
+let native_metrics_doc () =
+  Rme_native.Workers.metrics
+    (Rme_native.Workers.run ~latency:true ~sync_start:true ~run_for:0.01
+       ~sample_interval:0.002 ~n:2 ~passages:1_000_000
+       ~make:(fun crash ~n -> Rme_native.Stack.recoverable crash ~n "t1-mcs")
+       ())
+
+let service_metrics_doc () =
+  Rme_service.Loadgen.metrics
+    (Rme_service.Loadgen.run ~stack:"t3-mcs" ~shards:16 ~batch:4
+       ~drill_after:0.005 ~n:2 ~keys:256 ~per_worker:400 ())
+
+(* (shape, producer, members whose deletion is allowed, members whose
+   contents are free, paths where a NaN or infinity must be rejected) *)
+let schemas =
+  [
+    ( "rme-bench/1", Report.bench_shape, bench_doc, [], [ "metrics" ], [] );
+    ( "rme-metrics/1",
+      Driver.metrics_shape,
+      (fun () -> Driver.metrics (crashy_report 3)),
+      [],
+      [],
+      [] );
+    ( "rme-native-metrics/1",
+      Rme_native.Workers.metrics_shape,
+      native_metrics_doc,
+      [ "passage_latency"; "latency_unit"; "alloc_words_per_passage" ],
+      [],
+      [] );
+    ( "rme-service-metrics/1",
+      Rme_service.Loadgen.metrics_shape,
+      service_metrics_doc,
+      [ "alloc_words_per_request" ],
+      [],
+      [] );
+    ( "rme-mc-outcome/1",
+      Mc_outcome.shape,
+      mc_outcome_doc,
+      [
+        "witness"; "sleep_pruned"; "bitstate_occupancy"; "collision_bound";
+        "swarm";
+      ],
+      [ "config" ],
+      [
+        [ "outcome"; "bitstate_occupancy" ]; [ "outcome"; "collision_bound" ];
+      ] );
+  ]
+
+let schema_case (name, shape, produce, optional, free, finite_paths) =
+  case name (fun () ->
+      (* What a reader sees: the emitted bytes, parsed back. *)
+      let doc = Json.parse (Json.to_string (produce ())) in
+      (match Json.check shape doc with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "producer's document rejected: %s" e);
+      Alcotest.(check bool) "schema member" true
+        (Json.member "schema" doc = Some (Json.Str name));
+      let broken = mutations ~optional ~free doc in
+      if List.length broken < 10 then Alcotest.fail "too few mutations";
+      List.iter
+        (fun (what, bad) ->
+          match Json.check shape bad with
+          | Ok () -> Alcotest.failf "accepted %s" what
+          | Error _ -> ())
+        broken;
+      List.iter
+        (fun path ->
+          List.iter
+            (fun x ->
+              match Json.check shape (set_at path (Json.Float x) doc) with
+              | Ok () ->
+                Alcotest.failf "accepted %g at %s" x (String.concat "." path)
+              | Error _ -> ())
+            [ Float.nan; Float.infinity; Float.neg_infinity ])
+        finite_paths)
+
+let shape_errors_name_the_path () =
+  let doc = Json.parse (Json.to_string (mc_outcome_doc ())) in
+  let bad =
+    match doc with
+    | Json.Obj kvs ->
+      Json.Obj
+        (List.map
+           (function
+             | "swarm", Json.List [ m ] ->
+               ( "swarm",
+                 Json.List [ set_at [ "outcome"; "runs" ] (Json.Str "7") m ] )
+             | kv -> kv)
+           kvs)
+    | _ -> assert false
+  in
+  Alcotest.(check (result unit string))
+    "error names the path"
+    (Error "swarm[0].outcome.runs: expected an integer")
+    (Json.check Mc_outcome.shape bad)
 
 (* --- Stats merge edge cases (PR 3's sentinel fix must survive merge) --- *)
 
@@ -587,6 +785,9 @@ let () =
           case "merge-all-empty" stats_merge_all_empty;
           case "nan-never-wedges" stats_nan_never_wedges_sentinels;
         ] );
+      ( "schemas",
+        List.map schema_case schemas
+        @ [ case "error-paths" shape_errors_name_the_path ] );
       ( "validator",
         [
           case "accepts-and-rejects" validator_accepts_and_rejects;

@@ -257,6 +257,9 @@ let loadgen_drill_drains () =
   | None -> Alcotest.fail "drill report missing"
   | Some d ->
     Alcotest.(check bool) "epoch bumped" true (d.Loadgen.d_epoch >= 2);
+    (* Counted while the workers are parked, so their recovery sweeps
+       cannot drain shards before the snapshot sees them. *)
+    Alcotest.(check bool) "hot shards found" true (d.Loadgen.d_hot > 0);
     Alcotest.(check int) "all hot shards drained" d.Loadgen.d_hot
       d.Loadgen.d_drained;
     Alcotest.(check bool) "drain time measured" true (d.Loadgen.d_drain_s > 0.)
@@ -291,7 +294,7 @@ let loadgen_open_loop_latency () =
 let loadgen_metrics_validate () =
   let r = run_small ~drill_after:0.01 ~per_worker:1500 () in
   let doc = Sim.Json.parse (Loadgen.metrics_json r) in
-  (match Loadgen.validate_metrics doc with
+  (match Sim.Json.check Loadgen.metrics_shape doc with
   | Ok () -> ()
   | Error e -> Alcotest.failf "metrics rejected: %s" e);
   (* Tampered schema must be rejected. *)
@@ -306,7 +309,7 @@ let loadgen_metrics_validate () =
            kvs)
     | _ -> assert false
   in
-  match Loadgen.validate_metrics bad with
+  match Sim.Json.check Loadgen.metrics_shape bad with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "wrong schema accepted"
 
